@@ -98,13 +98,11 @@ bench-regress:
 		-bench 'BenchmarkSweep|BenchmarkRecord' -benchtime 10x
 
 # Differential-fuzz the engine's equivalence claims for 30s each — the
-# timing wheel against the reference heap, the locking arbiters, and the
-# batched interleaved pass against sequential runs. What CI's fuzz smoke
-# runs; crank -fuzztime locally for a deeper soak.
+# timing wheel against the reference heap, and the locking arbiters. What
+# CI's fuzz smoke runs; crank -fuzztime locally for a deeper soak.
 fuzz-smoke:
 	$(GO) test -run NONE -fuzz FuzzQueueEquivalence -fuzztime 30s ./internal/sim
 	$(GO) test -run NONE -fuzz FuzzLockingEquivalence -fuzztime 30s ./internal/sim
-	$(GO) test -run NONE -fuzz FuzzBatchEquivalence -fuzztime 30s ./internal/sim
 
 cover:
 	$(GO) test -cover ./...
@@ -137,7 +135,7 @@ verify-results:
 	sh tools/verify-results.sh
 
 # Smoke the observability layer: -trace-pipeline must not perturb results
-# (stdout + JSONL byte-identical across GOMAXPROCS and -batch), emitted
+# (stdout + JSONL byte-identical across GOMAXPROCS), emitted
 # traces must be valid nesting Chrome trace-event JSON, and /metrics must
 # speak Prometheus exposition format. What CI runs.
 trace-smoke:

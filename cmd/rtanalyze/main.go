@@ -38,7 +38,6 @@ func run(args []string, w io.Writer) error {
 		algo    = fs.String("algo", "both", "analysis to run: sapm, sads, holistic, mpcp, dpcp, or both")
 		example = fs.Int("example", 0, "use built-in example system (1 or 2) instead of a file")
 		factor  = fs.Int64("failure-factor", 300, "bound > factor*period counts as infinite")
-		warm    = fs.Bool("warm-start", false, "seed fixed-point solves from sound lower bounds (identical bounds, fewer iterations)")
 	)
 	cli := obs.Register(fs)
 	if err := fs.Parse(args); err != nil {
@@ -70,7 +69,6 @@ func run(args []string, w io.Writer) error {
 
 	opts := analysis.DefaultOptions()
 	opts.FailureFactor = *factor
-	opts.WarmStart = *warm
 
 	// One Analyzer and one Reset serve every requested analysis. The stats
 	// bank feeds manifests and /metrics (iteration histograms, solve counts).

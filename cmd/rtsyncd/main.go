@@ -15,6 +15,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"io"
@@ -46,7 +47,6 @@ func run(args []string, w io.Writer) error {
 		example   = fs.Int("example", 0, "use built-in example system (1 or 2) instead of a file")
 		factor    = fs.Int64("failure-factor", 300, "bound > factor*period counts as infinite")
 		cacheSize = fs.Int("cache", 256, "result-cache entry limit")
-		warm      = fs.Bool("warm-start", true, "seed fixed-point solves from sound lower bounds")
 	)
 	cli := obs.Register(fs)
 	if err := fs.Parse(args); err != nil {
@@ -77,7 +77,6 @@ func run(args []string, w io.Writer) error {
 
 	opts := analysis.DefaultOptions()
 	opts.FailureFactor = *factor
-	opts.WarmStart = *warm
 
 	stats := obs.NewAnalysisStats()
 	cli.AttachAnalysisStats(stats)
@@ -109,9 +108,17 @@ func run(args []string, w io.Writer) error {
 		}
 		return err
 	case s := <-sig:
+		// Stop accepting connections and let in-flight requests finish,
+		// so a commit that was admitted is also answered.
 		fmt.Fprintf(w, "rtsyncd: %v, shutting down\n", s)
-		srv.Close()
+		ctx, cancel := context.WithTimeout(context.Background(), shutdownGrace)
+		defer cancel()
+		err := srv.Shutdown(ctx)
 		<-done
-		return nil
+		return err
 	}
 }
+
+// shutdownGrace bounds how long a signalled rtsyncd waits for in-flight
+// requests before it gives up on them.
+const shutdownGrace = 10 * time.Second

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -259,5 +260,50 @@ func TestServiceHTTP(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
 		t.Errorf("/healthz: %s", resp.Status)
+	}
+}
+
+// TestServiceBodyLimits pins the request-body contract: a /v1/delta body
+// past MaxRequestBytes is refused with 413 before anything is evaluated,
+// so the committed system and its generation stay as they were, and an
+// empty /v1/analyze body means "the default algorithm".
+func TestServiceBodyLimits(t *testing.T) {
+	sys := model.Example2()
+	ws, _ := newTestWorkspace(t, sys, AlgoSADS)
+	srv := httptest.NewServer(NewService(ws))
+	defer srv.Close()
+
+	before := ws.System()
+	gen := ws.gen
+	// A syntactically valid commit whose task name alone overruns the cap.
+	body := `{"commit": true, "force": true, "remove": ["` +
+		strings.Repeat("x", MaxRequestBytes) + `"]}`
+	resp, err := http.Post(srv.URL+"/v1/delta", "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Errorf("oversize /v1/delta: %s, want 413", resp.Status)
+	}
+	if ws.gen != gen {
+		t.Errorf("generation moved from %d to %d", gen, ws.gen)
+	}
+	if !reflect.DeepEqual(ws.System(), before) {
+		t.Error("oversize delta changed the committed system")
+	}
+
+	resp, err = http.Post(srv.URL+"/v1/analyze", "application/json", strings.NewReader(""))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var v Verdict
+	err = json.NewDecoder(resp.Body).Decode(&v)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("empty /v1/analyze: %s, want 200", resp.Status)
+	}
+	if err != nil || v.Algo != "SA/DS" || len(v.Tasks) != len(sys.Tasks) {
+		t.Errorf("empty /v1/analyze verdict = %+v (%v)", v, err)
 	}
 }

@@ -2,7 +2,9 @@ package admission
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
+	"io"
 	"net/http"
 
 	"rtsync/internal/obs"
@@ -19,11 +21,16 @@ import (
 //	                                           the workspace's AnalysisStats
 //
 // Errors return JSON {"error": "..."} with status 400 (bad request or
-// unanalyzable delta) or 405.
+// unanalyzable delta), 405, or 413 (a POST body over MaxRequestBytes).
 type Service struct {
 	ws  *Workspace
 	mux *http.ServeMux
 }
+
+// MaxRequestBytes caps a POST body. A delta names a handful of tasks, so
+// real requests are a few kilobytes; the cap keeps a hostile or broken
+// client from making the service buffer without bound.
+const MaxRequestBytes = 1 << 20
 
 // NewService wires a Workspace into a Service.
 func NewService(ws *Workspace) *Service {
@@ -45,10 +52,10 @@ func (s *Service) handleDelta(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var d Delta
-	dec := json.NewDecoder(r.Body)
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, MaxRequestBytes))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&d); err != nil {
-		jsonError(w, http.StatusBadRequest, fmt.Sprintf("decode delta: %v", err))
+		decodeError(w, "decode delta", err)
 		return
 	}
 	v, err := s.ws.ApplyDelta(d)
@@ -67,10 +74,10 @@ func (s *Service) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 	var req struct {
 		Algo string `json:"algo,omitempty"`
 	}
-	dec := json.NewDecoder(r.Body)
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, MaxRequestBytes))
 	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil && err.Error() != "EOF" {
-		jsonError(w, http.StatusBadRequest, fmt.Sprintf("decode request: %v", err))
+	if err := dec.Decode(&req); err != nil && !errors.Is(err, io.EOF) {
+		decodeError(w, "decode request", err)
 		return
 	}
 	v, err := s.ws.Analyze(req.Algo)
@@ -110,6 +117,17 @@ func writeJSON(w http.ResponseWriter, v any) {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	enc.Encode(v) //nolint:errcheck // client gone; nothing to report
+}
+
+// decodeError reports a request body that failed to decode: 413 when it
+// ran past MaxRequestBytes, 400 otherwise.
+func decodeError(w http.ResponseWriter, what string, err error) {
+	status := http.StatusBadRequest
+	var tooBig *http.MaxBytesError
+	if errors.As(err, &tooBig) {
+		status = http.StatusRequestEntityTooLarge
+	}
+	jsonError(w, status, fmt.Sprintf("%s: %v", what, err))
 }
 
 func jsonError(w http.ResponseWriter, status int, msg string) {

@@ -71,20 +71,6 @@ type Analyzer struct {
 	cur, nxt         []model.Duration
 	incStack         []int32
 
-	// Pass-to-pass warm-start state (Options.WarmStart): each subtask's
-	// converged busy-period duration and first-instance completion from
-	// its previous evaluation within the CURRENT iterative analysis, plus
-	// per-global-segment lock-wait fixed points (warmW, ragged via
-	// gsegOff). Sound seeds because the outer iterates — bounds, lock
-	// waits, and hence every jitter input — grow monotonically from the
-	// optimistic seed, so a subtask's previous converged values lower-
-	// bound its next ones. Each Analyze method zeroes them on entry: a
-	// bound from AnalyzeDS would NOT be a sound seed for AnalyzeHolistic,
-	// whose jitters are smaller.
-	warmD  []model.Duration
-	warmC1 []model.Duration
-	warmW  []model.Duration
-
 	// termSub parallels termBuf and names the dense index OWNING each
 	// term (the interfering subtask itself, where termSrc names its
 	// jitter source) — the key the locking analyses use to charge an
@@ -96,7 +82,6 @@ type Analyzer struct {
 	// see locking.go for the layout.
 	hasSegs    bool
 	gcsTotal   []model.Duration
-	gsegOff    []int
 	lockResOff []int
 	lockResBuf []resUser
 	lw, lwNext []model.Duration
@@ -150,8 +135,6 @@ func (a *Analyzer) init(s *model.System, opts Options) {
 	a.prefixExec = resizeDurations(a.prefixExec, n)
 	a.cur = resizeDurations(a.cur, n)
 	a.nxt = resizeDurations(a.nxt, n)
-	a.warmD = resizeDurations(a.warmD, n)
-	a.warmC1 = resizeDurations(a.warmC1, n)
 	a.overUtil = resizeBools(a.overUtil, n)
 	a.dirty = resizeBools(a.dirty, n)
 	a.nextDirty = resizeBools(a.nextDirty, n)
@@ -290,39 +273,14 @@ func (a *Analyzer) init(s *model.System, opts Options) {
 	a.mpcp.Protocol, a.dpcp.Protocol = "MPCP", "DPCP"
 }
 
-// solve runs one inner fixed-point solve through solveFixpoint, raising
-// the caller's seed to the fluid lower bound when warm-starting is on and
-// recording the demand-evaluation count. Every sound seed converges to the
-// identical least fixed point (see solveFixpoint), so the flag never
-// changes a bound — only how fast it is reached.
+// solve runs one inner fixed-point solve through solveFixpoint from the
+// caller's seed (0 for none) and records the demand-evaluation count.
 func (a *Analyzer) solve(base model.Duration, terms []term, cap model.Duration, start model.Duration) model.Duration {
-	if a.opts.WarmStart {
-		if fs := fluidSeed(base, terms); fs > start {
-			start = fs
-		}
-	}
 	v, iters := solveFixpoint(base, terms, cap, a.opts.MaxFixpointIter, start)
 	if a.Stats != nil {
 		a.Stats.ObserveFixpoint(int64(iters), start > 0)
 	}
 	return v
-}
-
-// resetWarm zeroes the pass-to-pass warm-start state. Called on entry to
-// each iterative Analyze method — never between its passes — so seeds only
-// flow between passes of one analysis, where monotonicity makes them
-// sound.
-func (a *Analyzer) resetWarm() {
-	if !a.opts.WarmStart {
-		return
-	}
-	for i := range a.warmD {
-		a.warmD[i] = 0
-		a.warmC1[i] = 0
-	}
-	for i := range a.warmW {
-		a.warmW[i] = 0
-	}
 }
 
 // predIndex returns the dense index of id's chain predecessor given id's own
@@ -420,7 +378,6 @@ func (a *Analyzer) pmSubtask(i int) SubtaskBound {
 // (Gauss-Seidel) updates and the MaxOuterIter cutoff both depend on.
 func (a *Analyzer) AnalyzeDS() *Result {
 	n := a.ix.Len()
-	a.resetWarm()
 	r := a.cur[:n]
 	copy(r, a.prefixExec)
 	for i := range a.dirty {
@@ -531,18 +488,10 @@ func (a *Analyzer) ieertSubtask(i int, r []model.Duration) model.Duration {
 	}
 
 	// Step 1: busy-period duration D(i,j), self term included with its own
-	// release jitter. The subtask's previous converged duration (within
-	// this analysis) seeds the solve: its jitter inputs only grew since.
-	var dStart model.Duration
-	if a.opts.WarmStart {
-		dStart = a.warmD[i]
-	}
-	d := a.solve(a.block[i], terms, a.busyCap[i], dStart)
+	// release jitter.
+	d := a.solve(a.block[i], terms, a.busyCap[i], 0)
 	if d.IsInfinite() {
 		return model.Infinite
-	}
-	if a.opts.WarmStart {
-		a.warmD[i] = d
 	}
 
 	// Step 2: M(i,j) = ceil((D + R(i,j-1)) / p).
@@ -554,13 +503,9 @@ func (a *Analyzer) ieertSubtask(i int, r []model.Duration) model.Duration {
 	// Step 3: per-instance completion bounds and IEER times
 	// R(i,j)(m) = C(i,j)(m) + R(i,j-1) − (m−1)·p. Completion times are
 	// strictly increasing in the instance index, so each solve warm-starts
-	// from the previous one — and the first from its own previous-pass
-	// value.
+	// from the previous one.
 	intTerms := terms[1:]
 	var worst, prev model.Duration
-	if a.opts.WarmStart {
-		prev = a.warmC1[i]
-	}
 	for k := int64(1); k <= m; k++ {
 		base := a.block[i].AddSat(a.exec[i].MulSat(k))
 		c := a.solve(base, intTerms, a.busyCap[i], prev)
@@ -568,9 +513,6 @@ func (a *Analyzer) ieertSubtask(i int, r []model.Duration) model.Duration {
 			return model.Infinite
 		}
 		prev = c
-		if k == 1 && a.opts.WarmStart {
-			a.warmC1[i] = c
-		}
 		rk := c.AddSat(selfJitter) - a.period[i].MulSat(k-1)
 		if rk > worst {
 			worst = rk
@@ -591,7 +533,6 @@ func (a *Analyzer) ieertSubtask(i int, r []model.Duration) model.Duration {
 // updating in place.
 func (a *Analyzer) AnalyzeHolistic() *Result {
 	n := a.ix.Len()
-	a.resetWarm()
 	l, next := a.cur[:n], a.nxt[:n]
 	copy(l, a.prefixExec)
 	iterations := 0
@@ -649,18 +590,10 @@ func (a *Analyzer) holisticSubtask(i int, l []model.Duration) model.Duration {
 		terms[k].Jitter = j
 	}
 
-	// Busy period at this level, self term with its own release jitter;
-	// previous-pass values seed the solves exactly as in ieertSubtask.
-	var dStart model.Duration
-	if a.opts.WarmStart {
-		dStart = a.warmD[i]
-	}
-	d := a.solve(a.block[i], terms, a.busyCap[i], dStart)
+	// Busy period at this level, self term with its own release jitter.
+	d := a.solve(a.block[i], terms, a.busyCap[i], 0)
 	if d.IsInfinite() {
 		return model.Infinite
-	}
-	if a.opts.WarmStart {
-		a.warmD[i] = d
 	}
 	m := model.CeilDiv(d.AddSat(selfJitter), a.period[i])
 	if m > a.opts.MaxInstances {
@@ -671,9 +604,6 @@ func (a *Analyzer) holisticSubtask(i int, l []model.Duration) model.Duration {
 	// R = max_k (C(k) + J − (k−1)·p).
 	intTerms := terms[1:]
 	var worstResp, prev model.Duration
-	if a.opts.WarmStart {
-		prev = a.warmC1[i]
-	}
 	for k := int64(1); k <= m; k++ {
 		base := a.block[i].AddSat(a.exec[i].MulSat(k))
 		c := a.solve(base, intTerms, a.busyCap[i], prev)
@@ -681,9 +611,6 @@ func (a *Analyzer) holisticSubtask(i int, l []model.Duration) model.Duration {
 			return model.Infinite
 		}
 		prev = c
-		if k == 1 && a.opts.WarmStart {
-			a.warmC1[i] = c
-		}
 		rk := c.AddSat(selfJitter) - a.period[i].MulSat(k-1)
 		if rk > worstResp {
 			worstResp = rk

@@ -24,9 +24,7 @@ type SystemHasher struct {
 // Hash digests every semantic field of s plus the analysis name and the
 // result-affecting Options fields. Human-readable labels — processor, task
 // and resource names — are deliberately excluded: renaming cannot change
-// any bound, so renamed systems share cache entries. Options.WarmStart is
-// likewise excluded, because warm-started and cold analyses produce
-// identical results (see Options.WarmStart).
+// any bound, so renamed systems share cache entries.
 //
 // The encoding is positional (counts frame every list), so no field
 // separator ambiguity exists, and little-endian fixed-width, so digests are

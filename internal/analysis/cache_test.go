@@ -38,12 +38,6 @@ func TestSystemHasherIgnoresNames(t *testing.T) {
 	if h.Hash(renamed, "SA/DS", opts) != d1 {
 		t.Error("renaming tasks/processors changed the digest")
 	}
-	// WarmStart never changes results, so it must not change the digest.
-	warm := opts
-	warm.WarmStart = true
-	if h.Hash(s, "SA/DS", warm) != d1 {
-		t.Error("WarmStart changed the digest")
-	}
 }
 
 func TestSystemHasherSensitivity(t *testing.T) {
@@ -175,19 +169,22 @@ func TestResultCacheHitZeroAlloc(t *testing.T) {
 	}
 }
 
-// TestAnalyzeWarmZeroAlloc pins the warm-started steady-state analysis: a
-// reused Analyzer with WarmStart on must run AnalyzeDS without heap
-// allocation, exactly like the cold path.
+// TestAnalyzeWarmZeroAlloc pins the instrumented steady-state analysis: a
+// reused Analyzer with an AnalysisStats bank attached (as rtsyncd and
+// observed sweeps run it) must run AnalyzeDS without heap allocation,
+// exactly like the uninstrumented path.
 func TestAnalyzeWarmZeroAlloc(t *testing.T) {
-	opts := analysis.DefaultOptions()
-	opts.WarmStart = true
-	a, err := analysis.NewAnalyzer(model.Example2(), opts)
+	a, err := analysis.NewAnalyzer(model.Example2(), analysis.DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
+	a.Stats = obs.NewAnalysisStats()
 	a.AnalyzeDS() // warm up scratch arrays
 	allocs := testing.AllocsPerRun(100, func() { a.AnalyzeDS() })
 	if allocs != 0 {
-		t.Errorf("warm-started AnalyzeDS allocates %.1f objects per run, want 0", allocs)
+		t.Errorf("instrumented AnalyzeDS allocates %.1f objects per run, want 0", allocs)
+	}
+	if a.Stats.Snapshot().FixpointSolves == 0 {
+		t.Error("attached stats bank recorded no fixed-point solves")
 	}
 }

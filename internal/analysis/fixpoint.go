@@ -96,60 +96,6 @@ func solveFixpoint(base model.Duration, terms []term, cap model.Duration, maxIte
 	return model.Infinite, maxIter
 }
 
-// fluidSeed returns a provable lower bound on the least fixed point of
-// t = base + Σ ceil((t+J_k)/p_k)·e_k, usable as a sound warm start for
-// solveFixpoint. Relaxing ceil(x) ≥ x turns the demand equation into the
-// linear ("fluid") one t = base + Σ (t+J)·e/p, whose solution
-//
-//	t* = (base + Σ J·e/p) / (1 − U),  U = Σ e/p,
-//
-// satisfies t* ≤ lfp because the fluid demand under-approximates the real
-// demand pointwise and the least fixed point is monotone in the demand
-// function. The arithmetic runs in float64; the result is shrunk by a
-// rigorous relative error margin before flooring, so rounding can never
-// push the seed past the exact t*. Returns 0 (no seed) when U ≥ 1 within
-// the margin or a jitter is infinite.
-func fluidSeed(base model.Duration, terms []term) model.Duration {
-	num := float64(base)
-	util := 0.0
-	for _, tm := range terms {
-		if tm.Jitter.IsInfinite() {
-			return 0
-		}
-		u := float64(tm.Exec) / float64(tm.Period)
-		num += float64(tm.Jitter) * u
-		util += u
-	}
-	// Error accounting, in the style of utilSum.compareOne: every float
-	// operation contributes at most one ulp (≤ 1.1e-16 relative), and num
-	// accumulates 3 operations per term plus the int64→float conversions,
-	// util 2 per term. The division amplifies util's absolute error by
-	// 1/den, so the denominator must clear its own error band by a wide
-	// factor to be usable at all.
-	n := float64(len(terms) + 1)
-	const ulp = 1.1e-16
-	errUtil := 2 * ulp * n * util // absolute error bound on util
-	den := 1 - util
-	if den <= 8*errUtil || den <= 1e-9 {
-		// Fluid utilization at (or too near) 1: the fluid bound diverges
-		// and its error analysis degenerates. No seed — the caller's S0
-		// start is still exact.
-		return 0
-	}
-	rel := 4*ulp*n + errUtil/den // relative error of num/den combined
-	t := num / den * (1 - 2*rel)
-	if t >= float64(math.MaxInt64)/2 {
-		// Clamp far below the float→int overflow edge; the exact t* is
-		// larger still, so the clamp remains a sound seed.
-		return model.Duration(math.MaxInt64 / 2)
-	}
-	seed := model.Duration(t) - 1 // flooring slack: one whole tick
-	if seed < 0 {
-		return 0
-	}
-	return seed
-}
-
 // Options tunes the analyses. The zero value is NOT valid; use
 // DefaultOptions.
 type Options struct {
@@ -170,15 +116,6 @@ type Options struct {
 	// experiment); per-task bounds of a stopped run are not meaningful
 	// beyond their infiniteness.
 	StopOnFailure bool
-	// WarmStart seeds every inner fixed-point solve with provably sound
-	// lower bounds — the fluid (linear-relaxation) bound of the demand
-	// equation, plus each subtask's converged values from the previous
-	// outer pass of the iterative analyses (sound because the outer
-	// iterates grow monotonically from the optimistic seed, see
-	// DESIGN.md §4j). The computed bounds and outer iteration counts are
-	// identical either way; only the inner demand-evaluation counts
-	// collapse. Excluded from cache digests for the same reason.
-	WarmStart bool
 }
 
 // DefaultOptions returns the paper's settings.

@@ -50,7 +50,6 @@ func (a *Analyzer) AnalyzeDSFrom(prev []model.Duration, dirtyProc []bool) *Resul
 		return a.AnalyzeDS()
 	}
 	n := a.ix.Len()
-	a.resetWarm()
 	r := a.cur[:n]
 
 	// Seed: everything on a dirty processor restarts from the optimistic

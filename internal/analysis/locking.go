@@ -87,23 +87,6 @@ func (a *Analyzer) initLocking(s *model.System) {
 	for i := range a.gcsTotal {
 		a.gcsTotal[i] = 0
 	}
-	// Ragged offsets of each subtask's GLOBAL segments in warmW — the
-	// pass-to-pass seeds of lockWait's per-request fixed points. Segment
-	// counts are fixed at Reset, so the layout never moves between passes.
-	a.gsegOff = resizeInts(a.gsegOff, n+1)
-	gsegs := 0
-	for i := 0; i < n; i++ {
-		a.gsegOff[i] = gsegs
-		if a.hasSegs {
-			for _, g := range s.Subtask(a.ix.ID(i)).Segments {
-				if s.Resources[g.Resource].Global() {
-					gsegs++
-				}
-			}
-		}
-	}
-	a.gsegOff[n] = gsegs
-	a.warmW = resizeDurations(a.warmW, gsegs)
 	a.hostProc = resizeBools(a.hostProc, len(s.Procs))
 	a.lockResOff = resizeInts(a.lockResOff, len(s.Resources)+1)
 	a.lockResBuf = a.lockResBuf[:0]
@@ -213,7 +196,6 @@ func (a *Analyzer) lockWait(i int, proto lockProto, l, lw []model.Duration) mode
 	s := a.sys
 	st := s.Subtask(a.ix.ID(i))
 	var total model.Duration
-	gseg := a.gsegOff[i] // warmW slot of the next global segment
 	for _, g := range st.Segments {
 		if !s.Resources[g.Resource].Global() {
 			continue
@@ -280,21 +262,10 @@ func (a *Analyzer) lockWait(i int, proto lockProto, l, lw []model.Duration) mode
 				a.waitTerms = append(a.waitTerms, term{Period: a.period[x], Exec: hosted, Jitter: j})
 			}
 		}
-		// The wait recurrence's jitters (bounds + lock waits) only grow
-		// across passes, so this request's previous converged wait seeds
-		// the next solve.
-		var wStart model.Duration
-		if a.opts.WarmStart {
-			wStart = a.warmW[gseg]
-		}
-		w := a.solve(g.Length.AddSat(lower), a.waitTerms, a.busyCap[i], wStart)
+		w := a.solve(g.Length.AddSat(lower), a.waitTerms, a.busyCap[i], 0)
 		if w.IsInfinite() {
 			return model.Infinite
 		}
-		if a.opts.WarmStart {
-			a.warmW[gseg] = w
-		}
-		gseg++
 		total = total.AddSat(w - g.Length)
 	}
 	return total
@@ -339,16 +310,9 @@ func (a *Analyzer) lockSubtask(i int, l, lw []model.Duration, wait model.Duratio
 		a.evalTerms = append(a.evalTerms, t)
 	}
 
-	var dStart model.Duration
-	if a.opts.WarmStart {
-		dStart = a.warmD[i]
-	}
-	d := a.solve(a.block[i], a.evalTerms, a.busyCap[i], dStart)
+	d := a.solve(a.block[i], a.evalTerms, a.busyCap[i], 0)
 	if d.IsInfinite() {
 		return model.Infinite
-	}
-	if a.opts.WarmStart {
-		a.warmD[i] = d
 	}
 	m := model.CeilDiv(d.AddSat(selfJitter), a.period[i])
 	if m > a.opts.MaxInstances {
@@ -356,9 +320,6 @@ func (a *Analyzer) lockSubtask(i int, l, lw []model.Duration, wait model.Duratio
 	}
 	intTerms := a.evalTerms[1:]
 	var worst, prev model.Duration
-	if a.opts.WarmStart {
-		prev = a.warmC1[i]
-	}
 	for k := int64(1); k <= m; k++ {
 		base := a.block[i].AddSat(einf.MulSat(k))
 		c := a.solve(base, intTerms, a.busyCap[i], prev)
@@ -366,9 +327,6 @@ func (a *Analyzer) lockSubtask(i int, l, lw []model.Duration, wait model.Duratio
 			return model.Infinite
 		}
 		prev = c
-		if k == 1 && a.opts.WarmStart {
-			a.warmC1[i] = c
-		}
 		rk := c.AddSat(selfJitter) - a.period[i].MulSat(k-1)
 		if rk > worst {
 			worst = rk
@@ -383,7 +341,6 @@ func (a *Analyzer) lockSubtask(i int, l, lw []model.Duration, wait model.Duratio
 // analyzeLocking runs the Jacobi iteration over (bounds, lock waits).
 func (a *Analyzer) analyzeLocking(res *Result, proto lockProto) *Result {
 	n := a.ix.Len()
-	a.resetWarm()
 	a.buildLockTerms(proto)
 	l, next := a.cur[:n], a.nxt[:n]
 	copy(l, a.prefixExec)

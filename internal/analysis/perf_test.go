@@ -166,25 +166,6 @@ func BenchmarkAnalyzePMReuse(b *testing.B) {
 	}
 }
 
-// BenchmarkAnalyzeWarmStart is BenchmarkAnalyzeDSReuse with
-// Options.WarmStart on: every fixed-point solve starts from the fluid lower
-// bound and each outer pass reseeds from the previous one. Bounds are
-// byte-identical to the cold run (TestWarmStartMatchesCold); this records
-// what the skipped iterations are worth in wall time.
-func BenchmarkAnalyzeWarmStart(b *testing.B) {
-	sys := benchSystem(b)
-	opts := analysis.DefaultOptions()
-	opts.WarmStart = true
-	var an analysis.Analyzer
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if err := an.Reset(sys, opts); err != nil {
-			b.Fatal(err)
-		}
-		an.AnalyzeDS()
-	}
-}
-
 // BenchmarkAnalyzeCacheHit prices rtsyncd's fastest path: content-hash the
 // system and serve the memoized Result. The gap to BenchmarkAnalyzeDSReuse
 // is the cache's whole value proposition.

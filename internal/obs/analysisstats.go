@@ -1,8 +1,8 @@
 package obs
 
 // AnalysisStats collects analyzer counters across one or more analysis
-// runs: fixed-point iteration histograms (the warm-start collapse is read
-// off FixpointIters), result-cache traffic, and incremental-delta reuse.
+// runs: fixed-point iteration histograms, result-cache traffic, and
+// incremental-delta reuse.
 // Like SimStats it is shared state — a sweep attaches one AnalysisStats to
 // every worker's Analyzer, rtsyncd attaches one to its workspace — so all
 // fields are padded atomics and every producer hook is guarded by a nil
@@ -32,7 +32,7 @@ func NewAnalysisStats() *AnalysisStats { return &AnalysisStats{} }
 
 // ObserveFixpoint records one inner fixed-point solve that took iters
 // demand evaluations; warm marks solves that started from a nonzero seed
-// (fluid lower bound or a previous pass's converged value).
+// (the previous instance's completion time).
 func (s *AnalysisStats) ObserveFixpoint(iters int64, warm bool) {
 	s.fixpointIters.Observe(iters)
 	if warm {

@@ -35,10 +35,6 @@ type SimStats struct {
 	lockSuspensions  Counter
 	priorityBoosts   Counter
 	lockStall        Histogram
-
-	batchPasses        Counter
-	batchLanes         Counter
-	batchLaneHighWater Counter
 }
 
 // NewSimStats returns a zeroed counter bank.
@@ -98,15 +94,6 @@ func (s *SimStats) AddIdle(p int, ticks int64) {
 	}
 }
 
-// NoteBatch records one interleaved batch pass over lanes systems: pass
-// count, lane-fill sum (average occupancy = lanes/passes), and the widest
-// pass seen. Single-system runs never touch these.
-func (s *SimStats) NoteBatch(lanes int64) {
-	s.batchPasses.Inc()
-	s.batchLanes.Add(lanes)
-	s.batchLaneHighWater.Max(lanes)
-}
-
 // NoteRun counts one completed simulation run.
 func (s *SimStats) NoteRun() { s.runs.Inc() }
 
@@ -148,13 +135,6 @@ type SimSnapshot struct {
 	// LockStallTicks is the distribution of suspension durations.
 	LockSuspensions int64              `json:"lock_suspensions,omitempty"`
 	LockStallTicks  *HistogramSnapshot `json:"lock_stall_ticks,omitempty"`
-	// BatchPasses counts interleaved batch-engine passes; BatchLanes sums
-	// the systems simulated across them (average fill =
-	// BatchLanes/BatchPasses) and BatchLaneHighWater is the widest pass.
-	// All zero for single-system runs.
-	BatchPasses        int64 `json:"batch_passes,omitempty"`
-	BatchLanes         int64 `json:"batch_lanes,omitempty"`
-	BatchLaneHighWater int64 `json:"batch_lane_high_water,omitempty"`
 }
 
 // Snapshot captures the current counter values. Concurrent writers may
@@ -181,9 +161,6 @@ func (s *SimStats) Snapshot() SimSnapshot {
 	snap.LockAcquisitions = s.lockAcquisitions.Load()
 	snap.PriorityBoosts = s.priorityBoosts.Load()
 	snap.LockSuspensions = s.lockSuspensions.Load()
-	snap.BatchPasses = s.batchPasses.Load()
-	snap.BatchLanes = s.batchLanes.Load()
-	snap.BatchLaneHighWater = s.batchLaneHighWater.Load()
 	if snap.LockSuspensions > 0 {
 		h := s.lockStall.Snapshot()
 		snap.LockStallTicks = &h

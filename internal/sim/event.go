@@ -51,16 +51,12 @@ const (
 
 // event is one scheduled occurrence, a plain value: the queue stores events
 // by value, so pushing and popping allocate nothing in the steady state.
-// lane is the owning system's index within a BatchRunner pass (always 0 in
-// single-system runs); it sits in the struct's alignment padding, so batch
-// mode costs no event bytes.
 type event struct {
 	at   model.Time
 	seq  int64
 	inst int64
 	kind int8
 	op   int8
-	lane int16
 	a    int32
 	b    int32
 	fn   func(t model.Time)
@@ -80,9 +76,9 @@ func (e *event) before(o *event) bool {
 
 // eventHeap is a hand-rolled binary min-heap of event values. It replaces
 // container/heap over *event: no per-event allocation, no interface boxing,
-// and the backing array is reused across Engine.Reset. It is one of the two
-// eventQueue implementations (Config.Queue == QueueHeap) and doubles as the
-// timing wheel's overflow level for far-future timers.
+// and the backing array is reused across Engine.Reset. It is the timing
+// wheel's overflow level for far-future timers and the reference order
+// FuzzQueueEquivalence drives the wheel against.
 type eventHeap struct {
 	items []event
 }

@@ -9,14 +9,28 @@ import (
 	"rtsync/internal/model"
 )
 
-// eventQueueOrderingProperty: popping the event queue always yields events
+// testQueue is the push/pop surface the timing wheel and refHeap share, so
+// one test body can drive either.
+type testQueue interface {
+	push(ev *event)
+	pop(dst *event)
+	len() int
+}
+
+// refHeap adapts eventHeap to the wheel's pointer-based push/pop. It is the
+// reference order the wheel is checked against.
+type refHeap struct{ eventHeap }
+
+func (h *refHeap) push(ev *event) { h.eventHeap.push(*ev) }
+func (h *refHeap) pop(dst *event) { *dst = h.eventHeap.pop() }
+
+// eventQueueOrderingProperty: popping an event queue always yields events
 // sorted by (time, kind, seq), whatever the insertion order. Exercised
-// against both implementations.
-func eventQueueOrderingProperty(t *testing.T, kind QueueKind) {
+// against the wheel and the heap.
+func eventQueueOrderingProperty(t *testing.T, newQueue func() testQueue) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
-		var q eventQueue
-		q.reset(kind)
+		q := newQueue()
 		n := 50 + rng.Intn(100)
 		for i := 0; i < n; i++ {
 			q.push(&event{
@@ -50,11 +64,11 @@ func eventQueueOrderingProperty(t *testing.T, kind QueueKind) {
 }
 
 func TestEventHeapOrderingProperty(t *testing.T) {
-	eventQueueOrderingProperty(t, QueueHeap)
+	eventQueueOrderingProperty(t, func() testQueue { return new(refHeap) })
 }
 
 func TestEventWheelOrderingProperty(t *testing.T) {
-	eventQueueOrderingProperty(t, QueueWheel)
+	eventQueueOrderingProperty(t, func() testQueue { return new(timingWheel) })
 }
 
 // TestEventWheelFarFutureOrdering drives timestamps across window and block
@@ -65,9 +79,8 @@ func TestEventWheelFarFutureOrdering(t *testing.T) {
 		wheelSpan, wheelSpan + 7, 3 * wheelSpan, 1 << 40}
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
-		var wheel, heap eventQueue
-		wheel.reset(QueueWheel)
-		heap.reset(QueueHeap)
+		var wheel timingWheel
+		var heap refHeap
 		var seq int64
 		var now model.Time
 		for i := 0; i < 400; i++ {
@@ -105,20 +118,29 @@ func TestEventWheelFarFutureOrdering(t *testing.T) {
 	}
 }
 
-// readyQueueFor builds a facade over the requested implementation with a
-// priority range wide enough for the tests' jobs.
-func readyQueueFor(edf bool, kind QueueKind) *readyQueue {
+// readyQueueFor builds a ready queue whose implementation the engine's
+// input-driven selection picks: the tests' jobs use priorities 0..7, a
+// narrow range 0..8 takes the bitmap lanes, and the range 0..maxLanes (or
+// EDF at any range) takes the heap.
+func readyQueueFor(edf, narrow bool) *readyQueue {
+	hi := model.Priority(8)
+	if !narrow {
+		hi = maxLanes
+	}
 	q := new(readyQueue)
-	q.reset(readyParams{edf: edf, kind: kind, lo: 0, hi: 8})
+	q.reset(readyParams{edf: edf, lo: 0, hi: hi})
 	return q
 }
 
 // readyQueueFixedPriorityProperty: the ready queue pops jobs in
 // non-increasing active priority, with the deterministic tie-break.
-func readyQueueFixedPriorityProperty(t *testing.T, kind QueueKind) {
+func readyQueueFixedPriorityProperty(t *testing.T, lanes bool) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
-		q := readyQueueFor(false, kind)
+		q := readyQueueFor(false, lanes)
+		if q.useLanes != lanes {
+			return false
+		}
 		n := 20 + rng.Intn(50)
 		for i := 0; i < n; i++ {
 			q.push(&Job{
@@ -149,11 +171,11 @@ func readyQueueFixedPriorityProperty(t *testing.T, kind QueueKind) {
 }
 
 func TestReadyQueueFixedPriorityProperty(t *testing.T) {
-	readyQueueFixedPriorityProperty(t, QueueHeap)
+	readyQueueFixedPriorityProperty(t, false)
 }
 
 func TestReadyLanesFixedPriorityProperty(t *testing.T) {
-	readyQueueFixedPriorityProperty(t, QueueWheel)
+	readyQueueFixedPriorityProperty(t, true)
 }
 
 // TestReadyLanesMatchHeap: lanes and heap pop identical jobs under random
@@ -161,8 +183,8 @@ func TestReadyLanesFixedPriorityProperty(t *testing.T) {
 func TestReadyLanesMatchHeap(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
-		lanes := readyQueueFor(false, QueueWheel)
-		heap := readyQueueFor(false, QueueHeap)
+		lanes := readyQueueFor(false, true)
+		heap := readyQueueFor(false, false)
 		if !lanes.useLanes || heap.useLanes {
 			return false
 		}
@@ -206,7 +228,7 @@ func TestReadyLanesMatchHeap(t *testing.T) {
 func TestReadyQueueEDFProperty(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
-		q := readyQueueFor(true, QueueWheel)
+		q := readyQueueFor(true, true)
 		if q.useLanes {
 			return false // EDF must select the heap
 		}
@@ -237,9 +259,13 @@ func TestReadyQueueEDFProperty(t *testing.T) {
 // TestReadyQueuePeekMatchesPop: peek never disagrees with the next pop, in
 // either implementation.
 func TestReadyQueuePeekMatchesPop(t *testing.T) {
-	for _, kind := range []QueueKind{QueueHeap, QueueWheel} {
+	for _, lanes := range []bool{false, true} {
+		kind := "heap"
+		if lanes {
+			kind = "lanes"
+		}
 		rng := rand.New(rand.NewSource(12))
-		q := readyQueueFor(false, kind)
+		q := readyQueueFor(false, lanes)
 		if q.peek() != nil {
 			t.Errorf("%v: peek on empty queue should be nil", kind)
 		}
@@ -267,11 +293,11 @@ func TestReadyQueuePeekMatchesPop(t *testing.T) {
 // lanes must select the heap, not truncate.
 func TestReadyQueueWideRangeFallsBack(t *testing.T) {
 	q := new(readyQueue)
-	q.reset(readyParams{kind: QueueWheel, lo: 0, hi: 1000})
+	q.reset(readyParams{lo: 0, hi: 1000})
 	if q.useLanes {
 		t.Fatal("range 0..1000 should fall back to the heap")
 	}
-	q.reset(readyParams{kind: QueueWheel, lo: 1000, hi: 1063})
+	q.reset(readyParams{lo: 1000, hi: 1063})
 	if !q.useLanes {
 		t.Fatal("dense 64-level range should use the lanes")
 	}

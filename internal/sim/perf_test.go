@@ -111,7 +111,14 @@ func TestRunMemoryBounded(t *testing.T) {
 // engine: the headline per-event cost of the simulator. The custom
 // "ns/event" metric divides out the horizon so runs of different lengths
 // compare directly.
-func BenchmarkEngineEvents(b *testing.B) {
+func BenchmarkEngineEvents(b *testing.B) { benchEngineEvents(b) }
+
+// BenchmarkEngineEventsQueue/wheel is the same loop under the name its
+// committed baseline in BENCH_sim.json carries; it used to be the wheel arm
+// of a wheel-versus-heap comparison.
+func BenchmarkEngineEventsQueue(b *testing.B) { b.Run("wheel", benchEngineEvents) }
+
+func benchEngineEvents(b *testing.B) {
 	sys := perfSystem(b)
 	cfg := perfConfig(sys, 10)
 	e, err := sim.New(sys, cfg)
@@ -135,47 +142,6 @@ func BenchmarkEngineEvents(b *testing.B) {
 		events += out.Metrics.Events
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(events), "ns/event")
-}
-
-// BenchmarkEngineEventsQueue is the A/B companion to BenchmarkEngineEvents:
-// the identical steady-state loop under each Config.Queue implementation,
-// so a regression in either queue shows up against the other on the same
-// machine and workload.
-func BenchmarkEngineEventsQueue(b *testing.B) {
-	for _, tc := range []struct {
-		name string
-		kind sim.QueueKind
-	}{
-		{"wheel", sim.QueueWheel},
-		{"heap", sim.QueueHeap},
-	} {
-		b.Run(tc.name, func(b *testing.B) {
-			sys := perfSystem(b)
-			cfg := perfConfig(sys, 10)
-			cfg.Queue = tc.kind
-			e, err := sim.New(sys, cfg)
-			if err != nil {
-				b.Fatal(err)
-			}
-			if _, err := e.Run(); err != nil {
-				b.Fatal(err)
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			var events int64
-			for i := 0; i < b.N; i++ {
-				if err := e.Reset(sys, cfg); err != nil {
-					b.Fatal(err)
-				}
-				out, err := e.Run()
-				if err != nil {
-					b.Fatal(err)
-				}
-				events += out.Metrics.Events
-			}
-			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(events), "ns/event")
-		})
-	}
 }
 
 // BenchmarkEngineReuse contrasts the Runner path (engine recycled across

@@ -33,14 +33,13 @@ func BenchmarkEventQueuePushPop(b *testing.B) {
 	deltas := benchDeltas(1024)
 	for _, tc := range []struct {
 		name string
-		kind QueueKind
+		newQ func() testQueue
 	}{
-		{"heap", QueueHeap},
-		{"wheel", QueueWheel},
+		{"heap", func() testQueue { return new(refHeap) }},
+		{"wheel", func() testQueue { return new(timingWheel) }},
 	} {
 		b.Run(tc.name, func(b *testing.B) {
-			var q eventQueue
-			q.reset(tc.kind)
+			q := tc.newQ()
 			var seq int64
 			for i := 0; i < hold; i++ {
 				seq++
@@ -67,14 +66,14 @@ func BenchmarkReadyQueueDispatch(b *testing.B) {
 	const backlog = 24
 	for _, tc := range []struct {
 		name string
-		kind QueueKind
+		hi   model.Priority // a range of maxLanes levels takes the heap
 	}{
-		{"heap", QueueHeap},
-		{"bitmap", QueueWheel},
+		{"heap", maxLanes},
+		{"bitmap", 8},
 	} {
 		b.Run(tc.name, func(b *testing.B) {
 			q := new(readyQueue)
-			q.reset(readyParams{kind: tc.kind, lo: 0, hi: 8})
+			q.reset(readyParams{lo: 0, hi: tc.hi})
 			jobs := make([]Job, backlog)
 			for i := range jobs {
 				jobs[i] = Job{

@@ -28,9 +28,8 @@ func FuzzQueueEquivalence(f *testing.F) {
 	f.Add([]byte{0x0B, 0x1C, 0x2D, 0x0E, 0xFF, 0x0A, 0xFF, 0xFF, 0xFF, 0xFF})
 
 	f.Fuzz(func(t *testing.T, program []byte) {
-		var wheel, heap eventQueue
-		wheel.reset(QueueWheel)
-		heap.reset(QueueHeap)
+		var wheel timingWheel
+		var heap refHeap
 
 		var seq int64
 		var now model.Time

@@ -89,9 +89,11 @@ func TestWheelOverflowCascadeBack(t *testing.T) {
 
 // TestWheelOverflowEngineReset runs a system whose period exceeds the
 // wheel's block span — so every timer and release crosses the overflow
-// heap — twice on one recycled engine. Both runs must complete work and
-// produce identical metrics, proving Reset clears overflow state and the
-// arena free list across runs.
+// heap — twice on one recycled engine. Both runs must produce identical
+// metrics, proving Reset clears overflow state and the arena free list
+// across runs, and must match the reference values below: those are the
+// metrics of the same run on the binary event heap, which the engine used
+// to offer as an alternative queue and agreed with the wheel exactly.
 func TestWheelOverflowEngineReset(t *testing.T) {
 	if int64(40_000_000) <= wheelSpan {
 		t.Fatalf("test premise broken: period 40M <= wheelSpan %d", wheelSpan)
@@ -104,7 +106,7 @@ func TestWheelOverflowEngineReset(t *testing.T) {
 	sys := b.MustBuild()
 
 	var r Runner
-	cfg := Config{Protocol: NewRG(), Horizon: 200_000_000, Queue: QueueWheel}
+	cfg := Config{Protocol: NewRG(), Horizon: 200_000_000}
 	var first Metrics
 	for run := 0; run < 2; run++ {
 		out, err := r.Run(sys, cfg)
@@ -125,15 +127,33 @@ func TestWheelOverflowEngineReset(t *testing.T) {
 		}
 	}
 
-	// The same run under the reference heap queue must agree exactly.
-	cfg.Queue = QueueHeap
-	out, err := r.Run(sys, cfg)
-	if err != nil {
-		t.Fatal(err)
+	if first.Events != 28 || first.PrecedenceViolations != 0 || first.Overruns != 0 || first.Preemptions != 0 {
+		t.Errorf("events=%d precedence=%d overruns=%d preemptions=%d, want 28/0/0/0",
+			first.Events, first.PrecedenceViolations, first.Overruns, first.Preemptions)
 	}
-	var heap Metrics
-	heap.CopyFrom(out.Metrics)
-	if !reflect.DeepEqual(&first, &heap) {
-		t.Fatal("wheel (overflow path) and heap metrics differ")
+	wantTasks := []TaskMetrics{
+		{Released: 6, Completed: 5, SumEER: 19_000_000, MaxEER: 5_000_000, MaxOutputJitter: 2_000_000},
+		{Released: 4, Completed: 4, SumEER: 18_000_000, MaxEER: 4_500_000},
+	}
+	for i, want := range wantTasks {
+		got := first.Tasks[i]
+		got.lastEER, got.lastInstance, got.eerSamples = 0, 0, nil
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("task %d: got %+v, want %+v", i, got, want)
+		}
+	}
+	wantSubs := map[model.SubtaskID]SubtaskMetrics{
+		{Task: 0, Sub: 0}: {Released: 6, Completed: 5, SumResponse: 5_000_000, MaxResponse: 1_000_000},
+		{Task: 0, Sub: 1}: {Released: 5, Completed: 5, SumResponse: 14_000_000, MaxResponse: 4_000_000},
+		{Task: 1, Sub: 0}: {Released: 4, Completed: 4, SumResponse: 12_000_000, MaxResponse: 3_000_000},
+		{Task: 1, Sub: 1}: {Released: 4, Completed: 4, SumResponse: 6_000_000, MaxResponse: 1_500_000},
+	}
+	if len(first.Subtasks) != len(wantSubs) {
+		t.Fatalf("%d subtasks, want %d", len(first.Subtasks), len(wantSubs))
+	}
+	for id, want := range wantSubs {
+		if got := first.Subtasks[id]; got == nil || *got != want {
+			t.Errorf("subtask %v: got %+v, want %+v", id, got, want)
+		}
 	}
 }

@@ -8,14 +8,6 @@
 #              (content hashes verified), and cmp against the committed .txt
 #   3. det:    run a miniature sweep at GOMAXPROCS=1 and at the host's
 #              default, and cmp the two JSONL stores byte for byte
-#   4. batch:  rerun the batch-capable simulation sweep with -batch > 1
-#              (crossed with GOMAXPROCS 1 and default) and cmp every store
-#              against the sequential one — the batched interleaved engine
-#              pass must be invisible in the output
-#   5. warm:   rerun committed figures with -warm-start (crossed with
-#              GOMAXPROCS 1 and default for the minis) and cmp stdout
-#              against the committed .txt and the store against the cold
-#              run's — warm-seeded fixed points must change no output byte
 #
 # Figures 14/15/16/rg-rule2/jitter all render from one avgeer-study store,
 # so the store written while regenerating figure 14 replays the other four —
@@ -118,54 +110,5 @@ det exec-variation $mini
 det tightness -systems 4
 det sensitivity -systems 2 -horizon-periods 5
 det locking $mini
-
-# --- 4: batch invisibility — the avgeer study's batched engine path, crossed
-# with worker parallelism, against a sequential reference store.
-
-"$tmp/rtx" -figure 14 $mini -batch 1 -jsonl "$tmp/batchref.jsonl" >/dev/null
-for b in 3 8; do
-	GOMAXPROCS=1 "$tmp/rtx" -figure 14 $mini -batch $b -jsonl "$tmp/batch1x$b.jsonl" >/dev/null
-	cmp "$tmp/batchref.jsonl" "$tmp/batch1x$b.jsonl"
-	"$tmp/rtx" -figure 14 $mini -batch $b -jsonl "$tmp/batchNx$b.jsonl" >/dev/null
-	cmp "$tmp/batchref.jsonl" "$tmp/batchNx$b.jsonl"
-	echo "ok  batch   fig14 -batch $b (GOMAXPROCS 1 and default)"
-done
-
-# --- 5: warm-start invisibility — every committed figure rerun with
-# warm-seeded fixed points, against the committed .txt and the cold store
-# step 1 left in $tmp (the five replay-only figures render from fig14's
-# store, so its cmp covers them); then a warm mini at GOMAXPROCS 1 and
-# default against the cold sequential reference.
-
-# warm <figure> <name> <sweep flags...>: the live() flags plus -warm-start.
-warm() {
-	fig=$1
-	name=$2
-	shift 2
-	"$tmp/rtx" -figure "$fig" "$@" -warm-start \
-		-jsonl "$tmp/$name.warm.jsonl" >"$tmp/$name.warm.txt"
-	cmp "results/$name.txt" "$tmp/$name.warm.txt"
-	cmp "$tmp/$name.jsonl" "$tmp/$name.warm.jsonl"
-	echo "ok  warm    $name"
-}
-
-warm 12 fig12 -systems 200
-warm 13 fig13 -systems 200
-warm 14 fig14 -systems 50
-warm release-jitter release-jitter -systems 20
-warm tightness tightness -systems 40
-warm edf edf -systems 30 -horizon-periods 10
-warm exec-variation exec-variation -systems 10 -horizon-periods 10
-warm sensitivity sensitivity -systems 15 -horizon-periods 10
-"$tmp/rtx" -figure overhead -warm-start >"$tmp/overhead.warm.txt"
-cmp results/overhead.txt "$tmp/overhead.warm.txt"
-echo "ok  warm    overhead"
-
-"$tmp/rtx" -figure 14 $mini -jsonl "$tmp/warmref.jsonl" >/dev/null
-GOMAXPROCS=1 "$tmp/rtx" -figure 14 $mini -warm-start -jsonl "$tmp/warm1.jsonl" >/dev/null
-cmp "$tmp/warmref.jsonl" "$tmp/warm1.jsonl"
-"$tmp/rtx" -figure 14 $mini -warm-start -jsonl "$tmp/warmN.jsonl" >/dev/null
-cmp "$tmp/warmref.jsonl" "$tmp/warmN.jsonl"
-echo "ok  warm    fig14 mini (GOMAXPROCS 1 and default)"
 
 echo "all results round-trip byte-identical"
